@@ -938,9 +938,9 @@ let engine_bench () =
      rounds) is invariant in K — sessions are bit-identical to sequential runs —\n\
      while transport frames are shared: frames-saved grows ~linearly in K and the\n\
      engine amortizes the per-frame cost the way a high-traffic oracle deployment\n\
-     must. The unix row drives the same 64 sessions over the thread-per-party\n\
-     socket mesh; the poll rows scale K into the thousands through the\n\
-     single-process event loop (nonblocking sockets, one select, zero threads).";
+     must. The poll rows drive the same honest sessions through the\n\
+     single-process event loop (nonblocking sockets, one select, zero threads),\n\
+     from K = 64 into the thousands.";
   let session_inputs k =
     let rng = Prng.create (8100 + k) in
     Workload.clustered_bits rng ~n ~bits:64 ~shared_prefix_bits:32
@@ -1024,28 +1024,33 @@ let engine_bench () =
       if k > 1 then assert (outcome.Engine.aggregate.Engine.frames_saved > 0);
       report "sim" k outcome wall words)
     (if !smoke then [ 1; 4 ] else [ 1; 4; 16; 64 ]);
-  (* The same K sessions over the socket mesh (honest: byzantine behaviour
-     is a simulator concern) AND through the simulator, so the two transport
-     ledgers can be compared entry for entry on an identical workload. The
-     adversarial sim rows above run a *different* workload (outlier inputs,
-     equivocation => different per-session round counts), which is why their
-     naive_frames column legitimately differs from the unix row's; on equal
-     workloads the ledgers must agree exactly, asserted here. *)
+  (* The same K honest sessions through the simulator AND over the poll
+     socket mesh, so the two transport ledgers can be compared entry for
+     entry on an identical workload. The adversarial sim rows above run a
+     *different* workload (outlier inputs, equivocation => different
+     per-session round counts), which is why their naive_frames column
+     legitimately differs from the poll rows'; on equal workloads the ledgers
+     must agree exactly, asserted here. *)
+  let assert_same_ledger (x : Bigint.t Engine.outcome) (y : Bigint.t Engine.outcome) =
+    let a = x.Engine.aggregate and b = y.Engine.aggregate in
+    assert (a.Engine.engine_rounds = b.Engine.engine_rounds);
+    assert (a.Engine.frames_sent = b.Engine.frames_sent);
+    assert (a.Engine.naive_frames = b.Engine.naive_frames);
+    assert (a.Engine.frame_bytes = b.Engine.frame_bytes);
+    assert (a.Engine.payload_bytes = b.Engine.payload_bytes)
+  in
   let k = if !smoke then 8 else 64 in
   let specs = List.init k (mk_spec ~adversarial:false) in
   let sim_honest, wall_sim, words_sim =
     timed (fun () -> Engine.run_sim ~n ~t ~corrupt:(Array.make n false) specs)
   in
   report "sim-honest" k sim_honest wall_sim words_sim;
-  let outcome, wall, words = timed (fun () -> Engine.run_unix ~t ~n specs) in
+  let outcome, wall, words =
+    timed (fun () -> Engine.run_poll ~n ~t ~corrupt:(Array.make n false) specs)
+  in
   assert (outcome.Engine.aggregate.Engine.frames_saved > 0);
-  let a = sim_honest.Engine.aggregate and b = outcome.Engine.aggregate in
-  assert (a.Engine.engine_rounds = b.Engine.engine_rounds);
-  assert (a.Engine.frames_sent = b.Engine.frames_sent);
-  assert (a.Engine.naive_frames = b.Engine.naive_frames);
-  assert (a.Engine.frame_bytes = b.Engine.frame_bytes);
-  assert (a.Engine.payload_bytes = b.Engine.payload_bytes);
-  report "unix" k outcome wall words;
+  assert_same_ledger sim_honest outcome;
+  report "poll" k outcome wall words;
   (* Scale-out rows: the poll backend drives K into the thousands in one
      process — nonblocking sockets, a single select loop, zero threads.
      Honest workload so rows are comparable across K; ascending K keeps the
@@ -1063,15 +1068,10 @@ let engine_bench () =
       in
       assert (outcome.Engine.aggregate.Engine.sessions_completed = k);
       assert (outcome.Engine.aggregate.Engine.frames_saved > 0);
-      if k = List.hd poll_ks then begin
-        let sim = Engine.run_sim ~n ~t ~corrupt:(Array.make n false) specs in
-        let a = sim.Engine.aggregate and b = outcome.Engine.aggregate in
-        assert (a.Engine.engine_rounds = b.Engine.engine_rounds);
-        assert (a.Engine.frames_sent = b.Engine.frames_sent);
-        assert (a.Engine.naive_frames = b.Engine.naive_frames);
-        assert (a.Engine.frame_bytes = b.Engine.frame_bytes);
-        assert (a.Engine.payload_bytes = b.Engine.payload_bytes)
-      end;
+      if k = List.hd poll_ks then
+        assert_same_ledger
+          (Engine.run_sim ~n ~t ~corrupt:(Array.make n false) specs)
+          outcome;
       if k = 4096 then begin
         poll_top_rate := float_of_int k /. wall;
         poll_top_gc := words /. float_of_int k
@@ -1134,14 +1134,14 @@ let engine_bench () =
   Printf.printf
     "\n(kbits/sess is flat in K — multiplexing never inflates a session's own cost;\n\
      'saved' counts frames a frame-per-session transport would have sent extra.\n\
-     The sim-honest and unix rows run the identical honest workload: their full\n\
-     ledgers — engine rounds, frames, naive frames, frame/payload bytes — are\n\
-     asserted equal above and in test_engine. The adversarial sim rows differ in\n\
-     naive_frames only because equivocation + outlier inputs change per-session\n\
-     round counts, i.e. it is a workload difference, not a ledger bug. The poll\n\
-     rows move every frame through nonblocking sockets in one process; their\n\
-     smallest K is ledger-asserted against the simulator on the same workload,\n\
-     and rss-MB is the process's peak resident set after the row.)\n"
+     The sim-honest (64) and poll (64) rows run the identical honest workload:\n\
+     their full ledgers — engine rounds, frames, naive frames, frame/payload\n\
+     bytes — are asserted equal above and in test_engine. The adversarial sim\n\
+     rows differ in naive_frames only because equivocation + outlier inputs\n\
+     change per-session round counts, i.e. it is a workload difference, not a\n\
+     ledger bug. The poll rows move every frame through nonblocking sockets in\n\
+     one process; the smallest scale-out K is also ledger-asserted against the\n\
+     simulator, and rss-MB is the process's peak resident set after the row.)\n"
 
 (* ------------------------------------------------------------------ *)
 (* B1: bechamel wall-clock micro-benchmarks                            *)

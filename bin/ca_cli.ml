@@ -282,29 +282,14 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
     exit 2
   end;
   (match backend with
-  | "sim" | "unix" | "poll" -> ()
+  | "sim" | "poll" -> ()
   | b ->
-      Printf.eprintf "error: unknown backend %S; available: sim, unix, poll\n"
-        b;
+      Printf.eprintf "error: unknown backend %S; available: sim, poll\n" b;
       exit 2);
-  let unix = String.equal backend "unix" in
-  if unix && (obs_dir <> None || obs_socket <> None) then begin
-    Printf.eprintf
-      "error: the unix backend has no observability hooks; --obs-dir and \
-       --obs-socket require --backend sim or --backend poll\n";
-    exit 2
-  end;
   if obs_socket <> None && not (String.equal backend "poll") then begin
     Printf.eprintf
       "error: --obs-socket serves the live stats endpoint from inside the \
        poll loop; it requires --backend poll\n";
-    exit 2
-  end;
-  if unix && not (String.equal adversary_name "passive") then begin
-    Printf.eprintf
-      "error: the unix backend runs honest executions only; byzantine \
-       behaviour is a simulator concern (use --backend sim or --adversary \
-       passive)\n";
     exit 2
   end;
   let lookup what table name =
@@ -322,9 +307,7 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
     | `Auth | `AdaptiveAuth -> `Authenticated
   in
   let attack = lookup "attack" attack_catalogue attack_name in
-  let corrupt =
-    if unix then Array.make n false else Workload.spread_corrupt ~n ~t
-  in
+  let corrupt = Workload.spread_corrupt ~n ~t in
   (* Each session gets its own seeded input vector and its own adversary
      instance (strategies carry PRNG state), as the engine requires. *)
   let inputs =
@@ -405,7 +388,6 @@ let engine_scenario n t sessions spacing backend adversary_name attack_name
       ~finally:(fun () -> Option.iter Obs.Endpoint.close endpoint)
       (fun () ->
         match backend with
-        | "unix" -> Engine.run_unix ?telemetry ~domains ~t ~n specs
         | "poll" ->
             Engine.run_poll ?telemetry ?obs ?sampler ?control ~domains ~n ~t
               ~corrupt specs
@@ -780,11 +762,9 @@ let backend_arg =
     value & opt string "sim"
     & info [ "backend" ] ~docv:"NAME"
         ~doc:
-          "Execution backend: $(b,sim) (deterministic lock-step simulator, \
-           supports adversaries), $(b,unix) (socket mesh, one thread per \
-           party, honest only), or $(b,poll) (single-process event loop over \
-           nonblocking sockets, supports adversaries, bit-identical to \
-           $(b,sim)).")
+          "Execution backend: $(b,sim) (deterministic lock-step simulator) \
+           or $(b,poll) (single-process event loop over a nonblocking socket \
+           mesh, bit-identical to $(b,sim)). Both run adversaries.")
 
 let obs_dir_arg =
   Arg.(
@@ -797,7 +777,7 @@ let obs_dir_arg =
            (deterministic tier only — byte-identical across sim/poll and \
            domain counts), $(b,sampler.jsonl) (GC/RSS/poll time series) and \
            $(b,trace.json) (Chrome trace_event timeline for \
-           chrome://tracing or Perfetto). sim and poll backends only.")
+           chrome://tracing or Perfetto).")
 
 let obs_socket_arg =
   Arg.(

@@ -331,11 +331,6 @@ let () =
   let cfg = parse default_cfg (List.tl (Array.to_list Sys.argv)) in
   (match cfg.backend with
   | "sim" | "poll" -> ()
-  | "unix" ->
-      Printf.eprintf
-        "error: the unix backend runs honest executions only; the soak is \
-         adversarial (use --backend sim or --backend poll)\n";
-      exit 2
   | b ->
       Printf.eprintf "error: unknown backend %S; available: sim, poll\n" b;
       exit 2);

@@ -68,8 +68,8 @@ let validate_specs specs =
       Hashtbl.add seen s.sid ())
     specs
 
-(* Admission order: by start_round, input order within a round — the same
-   stable order Net_unix.run_sessions uses, so frame contents agree. *)
+(* Admission order: by start_round, input order within a round. The live
+   set keeps this order, so it fixes the entry order inside every frame. *)
 let admission_order specs =
   List.stable_sort
     (fun (_, a) (_, b) -> compare a.start_round b.start_round)
@@ -88,29 +88,6 @@ let honest_outputs ~corrupt result =
                  i result.r_sid))
     result.r_outputs;
   List.rev !out
-
-(* ---- shared aggregate assembly ------------------------------------------- *)
-
-(* Peak concurrency from the admission/retirement intervals: a session is
-   live during engine rounds [admitted .. retired] iff it consumed at least
-   one round. Computed the same way for both backends. *)
-let peak_live ~engine_rounds results =
-  let peak = ref 0 in
-  for r = 0 to engine_rounds - 1 do
-    let live =
-      List.fold_left
-        (fun acc s ->
-          if
-            s.r_metrics.Metrics.rounds > 0
-            && s.r_admitted_at <= r
-            && r <= s.r_retired_at
-          then acc + 1
-          else acc)
-        0 results
-    in
-    peak := max !peak live
-  done;
-  !peak
 
 (* ---- round-driven core ---------------------------------------------------- *)
 
@@ -134,7 +111,7 @@ type 'a live = {
 
 (* Normalize label/probe nodes so that every state is [Done] or [Step].
    [round] is the session-local number of rounds completed — the same stamp
-   Sim.run and Net_unix.run_sessions give spans and probes. *)
+   Sim.run gives spans and probes. *)
 let rec settle ~telemetry ~corrupt ~sid ~round labels i = function
   | Proto.Push (lb, rest) ->
       labels.(i) <- lb :: labels.(i);
@@ -225,6 +202,7 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
      in admission order — the order every sequential replay below relies on. *)
   let live_arr : 'a live option array = Array.make cap None in
   let k_live = ref 0 in
+  let peak_live = ref 0 in
   let live li = match live_arr.(li) with Some l -> l | None -> assert false in
   (* Per-round structures, preallocated at session capacity and reused every
      round: the per-slot step captures, the coalesced bundle matrix, and —
@@ -359,6 +337,7 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
     (match telemetry with
     | Some tm -> Telemetry.live_sessions tm ~round:!er ~live:!k_live
     | None -> ());
+    peak_live := max !peak_live !k_live;
     (match obs_live_g with Some g -> Obs.set_gauge g !k_live | None -> ());
     (match obs_peak_g with Some g -> Obs.max_gauge g !k_live | None -> ());
     let wall_t0 =
@@ -754,7 +733,7 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
       {
         engine_rounds = !er;
         sessions_completed = List.length results;
-        peak_live = peak_live ~engine_rounds:!er results;
+        peak_live = !peak_live;
         frames_sent = !frames_sent;
         naive_frames = !naive_frames;
         frames_saved = !naive_frames - !frames_sent;
@@ -804,57 +783,3 @@ let run_poll ?max_rounds ?domains ?trace ?telemetry ?obs ?sampler
     (fun () ->
       run_core ?max_rounds ?domains ?trace ?telemetry ?obs ?on_round
         ~transport:(Net_poll.transport net) ~n ~t ~corrupt specs)
-
-(* ---- socket backend ------------------------------------------------------- *)
-
-let run_unix ?t ?telemetry ?domains ~n specs =
-  validate_specs specs;
-  (* The socket mesh builds every session's contexts with one constructor;
-     a mix would silently run some sessions under the wrong bound check. *)
-  let setup =
-    match specs with
-    | [] -> `Plain
-    | s :: rest ->
-        if List.for_all (fun s' -> s'.setup = s.setup) rest then s.setup
-        else invalid_arg "Engine.run_unix: sessions mix `Plain and `Authenticated setups"
-  in
-  let sessions =
-    Array.of_list (List.map (fun s -> (s.sid, s.start_round, s.protocol)) specs)
-  in
-  let outs, st = Net_unix.run_sessions ~setup ?t ?telemetry ?domains ~n sessions in
-  let results =
-    List.mapi
-      (fun i spec ->
-        let rounds = st.Net_unix.mx_session_rounds.(i) in
-        let metrics = Metrics.create () in
-        metrics.Metrics.rounds <- rounds;
-        metrics.Metrics.honest_bits <- 8 * st.Net_unix.mx_session_payload_bytes.(i);
-        metrics.Metrics.honest_msgs <- st.Net_unix.mx_session_msgs.(i);
-        {
-          r_sid = spec.sid;
-          r_outputs = Array.map (fun v -> Some v) outs.(i);
-          r_metrics = metrics;
-          r_admitted_at = spec.start_round;
-          r_retired_at =
-            (if rounds = 0 then spec.start_round else spec.start_round + rounds - 1);
-        })
-      specs
-  in
-  let honest_bits_total =
-    List.fold_left (fun acc s -> acc + s.r_metrics.Metrics.honest_bits) 0 results
-  in
-  {
-    sessions = results;
-    aggregate =
-      {
-        engine_rounds = st.Net_unix.mx_rounds;
-        sessions_completed = List.length results;
-        peak_live = peak_live ~engine_rounds:st.Net_unix.mx_rounds results;
-        frames_sent = st.Net_unix.mx_frames;
-        naive_frames = st.Net_unix.mx_naive_frames;
-        frames_saved = st.Net_unix.mx_naive_frames - st.Net_unix.mx_frames;
-        frame_bytes = st.Net_unix.mx_frame_bytes;
-        payload_bytes = st.Net_unix.mx_payload_bytes;
-        honest_bits_total;
-      };
-  }

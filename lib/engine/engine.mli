@@ -29,14 +29,13 @@ type 'a spec = {
   start_round : int;  (** Engine round (0-based) at which to admit. *)
   protocol : Net.Ctx.t -> 'a Net.Proto.t;
   adversary : Net.Adversary.t;
-      (** Simulator backend only; supply a fresh instance per session —
-          strategies carry PRNG state. Ignored by {!run_unix}. *)
+      (** Supply a fresh instance per session — strategies carry PRNG
+          state. *)
   setup : [ `Plain | `Authenticated ];
       (** Which context constructor the session's parties get:
           {!Net.Ctx.make} (t < n/3) or {!Net.Ctx.make_authenticated}
           (t < n/2, for protocols on a cryptographic setup such as the
-          [Auth] library's). Per-session under [run_sim]/[run_poll];
-          {!run_unix} requires all sessions to agree. *)
+          [Auth] library's). Chosen per session. *)
 }
 
 val session :
@@ -53,12 +52,10 @@ type 'a session_result = {
   r_sid : int;
   r_outputs : 'a option array;
       (** Per party, as in {!Net.Sim.outcome}: [Some] once the party's
-          instance terminated ([run_unix] always fills every slot). *)
+          instance terminated. *)
   r_metrics : Net.Metrics.t;
       (** Session-local rounds, honest bits, per-label bits — identical to a
-          sequential run of the same session. [run_unix] fills rounds,
-          honest bits and honest messages; label attribution is
-          simulator-only. *)
+          sequential run of the same session. *)
   r_admitted_at : int;  (** Engine round at which the session was admitted. *)
   r_retired_at : int;
       (** Engine round of the session's last step ([= r_admitted_at] for
@@ -151,8 +148,7 @@ val run_sim :
     [sid] at session-local rounds completed, messages additionally carry the
     engine round as their timeline round, and the live-session count is
     recorded once per engine round — summing a session's span bits
-    reproduces that session's [Metrics.honest_bits] exactly, and the
-    conventions match {!Net_unix.run_sessions} session-for-session.
+    reproduces that session's [Metrics.honest_bits] exactly.
 
     [domains] (default 1) shards the live sessions across the shared {!Pool}
     at every engine-round barrier. Sequential-equals-parallel bit-identity is
@@ -204,22 +200,6 @@ val run_poll :
     {!Net_poll.set_control} — pass [(Obs.Endpoint.fd ep, fun () ->
     Obs.Endpoint.service ep)] to serve the live stats endpoint from inside
     the select loop. *)
-
-val run_unix :
-  ?t:int ->
-  ?telemetry:Telemetry.t ->
-  ?domains:int ->
-  n:int ->
-  'a spec list ->
-  'a outcome
-(** Execute every session over one shared Unix socket mesh
-    ({!Net_unix.run_sessions}): one thread per party, one coalesced frame
-    per ordered pair per engine round. Honest executions only — the specs'
-    adversaries are ignored. [domains] parallelizes each party's per-round
-    session advances on the shared {!Pool} (bit-identical, see
-    {!Net_unix.run_sessions}). Outputs, per-session rounds and honest bits
-    are bit-identical to {!run_sim} with no corruptions (asserted by the
-    cross-backend tests). *)
 
 val honest_outputs : corrupt:bool array -> 'a session_result -> 'a list
 (** Honest parties' outputs of one session, in party order; raises [Failure]

@@ -25,13 +25,12 @@ let empty_leaf = Sha256.digest "\x02"
 
 (* Per-domain hashing context for [build]: a tree is built once per party
    per Π_ℓBA+ invocation, and the context (message schedule + block buffer)
-   was the build's largest single allocation. DLS is per-domain, not
-   per-thread, and the unix transport runs every party's protocol code on
-   systhreads inside one domain — a preemption mid-hash would let two
-   builds interleave on one context. The busy flag hands a concurrent
-   caller a fresh context instead; [!busy]/[busy := true] has no safe
-   point between the read and the write, so the check-out is atomic
-   w.r.t. systhreads. *)
+   was the build's largest single allocation. The busy flag hands a
+   re-entrant caller a fresh context instead of letting two builds
+   interleave on one. DLS is per-domain, not per-thread, and
+   [!busy]/[busy := true] has no safe point between the read and the
+   write, so the check-out also stays atomic should a caller ever hash from
+   several systhreads in one domain. *)
 let build_ctx : (Sha256.ctx * bool ref) Domain.DLS.key =
   Domain.DLS.new_key (fun () -> (Sha256.init (), ref false))
 
@@ -89,9 +88,7 @@ let witness t i =
 
 (* Per-domain verification scratch: a verify runs once per harvested share
    on the Π_ℓBA+ hot path, and the fresh context + digest buffer were most
-   of its allocation. Same systhread caveat and busy-flag discipline as
-   [build_ctx] above — the unix transport verifies from many threads in
-   one domain. *)
+   of its allocation. Same busy-flag discipline as [build_ctx] above. *)
 let verify_scratch : (Sha256.ctx * Bytes.t * bool ref) Domain.DLS.key =
   Domain.DLS.new_key (fun () -> (Sha256.init (), Bytes.create dsize, ref false))
 

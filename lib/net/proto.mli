@@ -12,7 +12,8 @@
     agreed-upon data.
 
     Values of this type are transport-agnostic: {!Sim} executes them in the
-    deterministic adversarial simulator, [Net_unix] over a real socket mesh.
+    deterministic adversarial simulator, the [Engine] over a real socket mesh
+    ([Net_poll]).
     The constructors are exposed because runtimes pattern-match on them;
     protocol code should use the combinators below. *)
 

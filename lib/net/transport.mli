@@ -4,11 +4,11 @@
     between an ordered pair of parties into one {!Wire.Frame}; a transport's
     only job is to move those frames from senders to recipients and hand back
     the decoded entry lists. Factoring this signature out of the execution
-    backends ([Net.Sim]-style in-memory delivery, [Net_unix]'s thread-per-party
-    socket mesh, [Net_poll]'s single-process event loop) lets one engine core
-    drive all of them — and makes the bit-identity invariant structural: the
-    engine computes messages, metrics and telemetry identically no matter
-    which transport carries the bytes.
+    backends ([Net.Sim]-style in-memory delivery, [Net_poll]'s single-process
+    event loop over a socket mesh) lets one engine core drive both — and
+    makes the bit-identity invariant structural: the engine computes
+    messages, metrics and telemetry identically no matter which transport
+    carries the bytes.
 
     A transport is an {e exchange}: a per-round barrier that accepts the
     round's entry matrix and returns the delivered entries. The engine hands

@@ -1,14 +1,12 @@
 (** Event-driven transport: a single-process poll loop over nonblocking
     sockets.
 
-    [Net_unix] spawns one thread per party plus one receiver thread per
-    connection — fine for a handful of parties, hopeless as a substrate for
-    the engine's scale-out story (10⁴+ concurrent sessions from one process).
-    This module moves the same coalesced {!Wire.Frame} traffic with {e zero}
-    threads: one [Unix.select] loop over a full mesh of nonblocking socket
-    pairs, a bounded outbound ring buffer per connection, and the incremental
-    {!Wire.Frame.Decoder} on the receive side, resumable across partial
-    reads.
+    The engine's scale-out story (10⁴+ concurrent sessions from one process)
+    rules out a thread per party or per connection. This module moves the
+    coalesced {!Wire.Frame} traffic with {e zero} threads: one [Unix.select]
+    loop over a full mesh of nonblocking socket pairs, a bounded outbound
+    ring buffer per connection, and the incremental {!Wire.Frame.Decoder} on
+    the receive side, resumable across partial reads.
 
     Backpressure is explicit: a connection whose outbound ring is full parks
     its remaining frame bytes instead of blocking anything — the loop keeps

@@ -1,11 +1,11 @@
 (* Deterministic observability: span trees, round timelines, probes.
 
    Recording is mutation of per-(session × party) buckets plus shared
-   per-round timeline cells, all under one mutex (Net_unix runs one thread
-   per party; the lock is uncontended in the simulator). Export walks the
-   buckets in sorted key order and the spans in pre-order, so the JSONL is
-   byte-identical across runs of the same deterministic execution no matter
-   which thread recorded what. *)
+   per-round timeline cells, all under one mutex (Sim.run ?domains advances
+   parties on several domains at once; the lock is uncontended in sequential
+   runs). Export walks the buckets in sorted key order and the spans in
+   pre-order, so the JSONL is byte-identical across runs of the same
+   deterministic execution no matter which domain recorded what. *)
 
 let root_label = "(run)"
 let unlabeled = "(unlabeled)"

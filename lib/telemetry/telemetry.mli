@@ -1,7 +1,7 @@
 (** Deterministic observability for protocol executions.
 
     A recorder of type {!t} is threaded (optionally) through the runtimes —
-    [Net.Sim.run], [Net_unix.run]/[run_sessions] and the engine backends —
+    [Net.Sim.run] and the engine backends —
     which feed it four kinds of events:
 
     - {b spans}: every [Proto.Push]/[Proto.Pop] label scope becomes a node in
@@ -27,8 +27,9 @@
     compact text report ({!pp_report}: aggregated span tree, per-round
     heatmap, top-k labels, convergence curves).
 
-    The recorder is thread-safe (one mutex; [Net_unix] runs one thread per
-    party) and has no dependencies beyond the in-repo [Bigint]. *)
+    The recorder is domain-safe (one mutex; [Net.Sim.run ?domains] records
+    from several domains at once) and has no dependencies beyond the in-repo
+    [Bigint]. *)
 
 type t
 

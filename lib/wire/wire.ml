@@ -342,12 +342,11 @@ module Frame = struct
   (* Per-domain (sid, payload offset, payload length) triples from the
      validation pass below — re-walked backwards so the entry list is built
      front-first without the build-reversed-then-[List.rev] second list.
-     DLS is per-domain, not per-thread: the unix transport decodes frames
-     from several systhreads in one domain, and a preemption point inside
-     [Bytes.sub_string] below could interleave two decodes on one array.
-     The busy flag hands a concurrent (or re-entrant) caller a fresh
-     array instead — [!busy]/[busy := true] has no safe point between the
-     read and the write, so the check-out is atomic w.r.t. systhreads. *)
+     The busy flag hands a re-entrant caller a fresh array instead, as
+     for [scratch] and [cursor_scratch] above. DLS is per-domain, not
+     per-thread, and [!busy]/[busy := true] has no safe point between the
+     read and the write, so the check-out also stays atomic should a caller
+     ever decode from several systhreads in one domain. *)
   let entry_scratch : (int array ref * bool ref) Domain.DLS.key =
     Domain.DLS.new_key (fun () -> (ref (Array.make 96 0), ref false))
 

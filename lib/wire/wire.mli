@@ -83,11 +83,11 @@ val ( let* ) : 'a option -> ('a -> 'b option) -> 'b option
 
 (** {1 Session-multiplexed frames}
 
-    The session engine ([Engine], [Net_unix.run_sessions]) coalesces all live
-    sessions' round-[r] traffic between one ordered pair of parties into a
-    single frame, so per-frame transport cost (syscall, header) is paid once
-    per pair per round instead of once per session. A session that is silent
-    towards the recipient this round is simply absent from the entry list —
+    The session engine ([Engine]) coalesces all live sessions' round-[r]
+    traffic between one ordered pair of parties into a single frame, so
+    per-frame transport cost (syscall, header) is paid once per pair per
+    round instead of once per session. A session that is silent towards the
+    recipient this round is simply absent from the entry list —
     absence decodes as [None] in that session's inbox slot. *)
 
 module Frame : sig

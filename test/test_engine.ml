@@ -1,6 +1,6 @@
 (* Session-multiplexing engine: a multiplexed session must be bit-identical
    to the same session run alone in Net.Sim — outputs, per-session metrics,
-   adversary interaction — and the unix backend must agree with the simulator
+   adversary interaction — and the poll backend must agree with the simulator
    session for session. *)
 
 open Net
@@ -160,24 +160,26 @@ let test_64_sessions_cross_backend () =
     List.init sessions (fun k -> Engine.session ~sid:k (mk_protocol ~n k))
   in
   let sim = Engine.run_sim ~n ~t ~corrupt:no_corrupt specs in
-  let unix = Engine.run_unix ~t ~n specs in
+  let poll = Engine.run_poll ~n ~t ~corrupt:no_corrupt specs in
   Alcotest.check Alcotest.int "sim completed all" sessions
     sim.Engine.aggregate.Engine.sessions_completed;
   Alcotest.check Alcotest.int "peak live is K" sessions
     sim.Engine.aggregate.Engine.peak_live;
+  Alcotest.check Alcotest.int "peak live sim = poll"
+    sim.Engine.aggregate.Engine.peak_live poll.Engine.aggregate.Engine.peak_live;
   List.iter2
-    (fun (s : Bigint.t Engine.session_result) (u : Bigint.t Engine.session_result) ->
+    (fun (s : Bigint.t Engine.session_result) (p : Bigint.t Engine.session_result) ->
       Alcotest.check
         (Alcotest.array (Alcotest.option bigint_t))
-        (Printf.sprintf "session %d outputs sim = unix" s.Engine.r_sid)
-        s.Engine.r_outputs u.Engine.r_outputs;
+        (Printf.sprintf "session %d outputs sim = poll" s.Engine.r_sid)
+        s.Engine.r_outputs p.Engine.r_outputs;
       Alcotest.check Alcotest.int
-        (Printf.sprintf "session %d rounds sim = unix" s.Engine.r_sid)
-        s.Engine.r_metrics.Metrics.rounds u.Engine.r_metrics.Metrics.rounds;
+        (Printf.sprintf "session %d rounds sim = poll" s.Engine.r_sid)
+        s.Engine.r_metrics.Metrics.rounds p.Engine.r_metrics.Metrics.rounds;
       Alcotest.check Alcotest.int
-        (Printf.sprintf "session %d honest bits sim = unix" s.Engine.r_sid)
+        (Printf.sprintf "session %d honest bits sim = poll" s.Engine.r_sid)
         s.Engine.r_metrics.Metrics.honest_bits
-        u.Engine.r_metrics.Metrics.honest_bits;
+        p.Engine.r_metrics.Metrics.honest_bits;
       (* And bit-identical to the session run alone. *)
       let reference =
         Sim.run ~n ~t ~corrupt:no_corrupt ~adversary:Adversary.passive
@@ -187,30 +189,30 @@ let test_64_sessions_cross_backend () =
         (Alcotest.array (Alcotest.option bigint_t))
         (Printf.sprintf "session %d outputs = sequential" s.Engine.r_sid)
         reference.Sim.outputs s.Engine.r_outputs)
-    sim.Engine.sessions unix.Engine.sessions;
+    sim.Engine.sessions poll.Engine.sessions;
   (* The two backends drive the same engine schedule and the same frames. *)
-  Alcotest.check Alcotest.int "engine rounds sim = unix"
+  Alcotest.check Alcotest.int "engine rounds sim = poll"
     sim.Engine.aggregate.Engine.engine_rounds
-    unix.Engine.aggregate.Engine.engine_rounds;
-  Alcotest.check Alcotest.int "frames sim = unix"
-    sim.Engine.aggregate.Engine.frames_sent unix.Engine.aggregate.Engine.frames_sent;
-  Alcotest.check Alcotest.int "frame bytes sim = unix"
-    sim.Engine.aggregate.Engine.frame_bytes unix.Engine.aggregate.Engine.frame_bytes;
+    poll.Engine.aggregate.Engine.engine_rounds;
+  Alcotest.check Alcotest.int "frames sim = poll"
+    sim.Engine.aggregate.Engine.frames_sent poll.Engine.aggregate.Engine.frames_sent;
+  Alcotest.check Alcotest.int "frame bytes sim = poll"
+    sim.Engine.aggregate.Engine.frame_bytes poll.Engine.aggregate.Engine.frame_bytes;
   (* The full ledger must agree, naive-transport accounting included: same
      workload => same per-round live/stepping sets => same counterfactual
      frame count (this is the invariant behind BENCH_engine's sim-honest
      row; the adversarial sim rows run a *different* workload and may
      legitimately differ). *)
-  Alcotest.check Alcotest.int "naive frames sim = unix"
+  Alcotest.check Alcotest.int "naive frames sim = poll"
     sim.Engine.aggregate.Engine.naive_frames
-    unix.Engine.aggregate.Engine.naive_frames;
-  Alcotest.check Alcotest.int "payload bytes sim = unix"
+    poll.Engine.aggregate.Engine.naive_frames;
+  Alcotest.check Alcotest.int "payload bytes sim = poll"
     sim.Engine.aggregate.Engine.payload_bytes
-    unix.Engine.aggregate.Engine.payload_bytes;
+    poll.Engine.aggregate.Engine.payload_bytes;
   Alcotest.check Alcotest.bool "sim saves frames" true
     (sim.Engine.aggregate.Engine.frames_saved > 0);
-  Alcotest.check Alcotest.bool "unix saves frames" true
-    (unix.Engine.aggregate.Engine.frames_saved > 0)
+  Alcotest.check Alcotest.bool "poll saves frames" true
+    (poll.Engine.aggregate.Engine.frames_saved > 0)
 
 let test_spec_validation () =
   let n = 4 and t = 1 in

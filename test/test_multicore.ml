@@ -137,22 +137,6 @@ let test_run_cells_bit_identical () =
   Alcotest.(check (list string)) "labels in input order"
     (List.map fst seq) (List.map fst par)
 
-(* ---- unix backend -------------------------------------------------------- *)
-
-let test_run_unix_bit_identical () =
-  let n = 4 in
-  let run domains =
-    let specs =
-      List.init 6 (fun k ->
-          Engine.session ~sid:k ~start_round:k (mk_protocol ~n k))
-    in
-    let telemetry = Telemetry.create () in
-    let outcome = Engine.run_unix ~domains ~telemetry ~n specs in
-    (fingerprint outcome, Telemetry.to_jsonl telemetry)
-  in
-  let base = run 1 in
-  Alcotest.(check bool) "run_unix domains=2 = domains=1" true (run 2 = base)
-
 (* ---- Metrics shard merge ------------------------------------------------- *)
 
 let test_metrics_is_empty () =
@@ -253,8 +237,6 @@ let suite =
       test_sim_bit_identical;
     Alcotest.test_case "run_cells: parallel sweep = sequential sweep" `Quick
       test_run_cells_bit_identical;
-    Alcotest.test_case "run_unix: domains 2 = domains 1" `Quick
-      test_run_unix_bit_identical;
     Alcotest.test_case "Metrics.is_empty" `Quick test_metrics_is_empty;
     Alcotest.test_case "Metrics shard merge reproduces single collector"
       `Quick test_metrics_shard_merge;

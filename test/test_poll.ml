@@ -8,11 +8,11 @@
 
 open Net
 
-let fingerprint (o : Bigint.t Engine.outcome) =
+let fingerprint_with show (o : _ Engine.outcome) =
   ( List.map
       (fun r ->
         ( r.Engine.r_sid,
-          Array.to_list (Array.map (Option.map Bigint.to_hex) r.Engine.r_outputs),
+          Array.to_list (Array.map (Option.map show) r.Engine.r_outputs),
           ( r.Engine.r_metrics.Metrics.rounds,
             r.Engine.r_metrics.Metrics.honest_bits,
             r.Engine.r_metrics.Metrics.honest_msgs,
@@ -22,6 +22,8 @@ let fingerprint (o : Bigint.t Engine.outcome) =
           (r.Engine.r_admitted_at, r.Engine.r_retired_at) ))
       o.Engine.sessions,
     o.Engine.aggregate )
+
+let fingerprint = fingerprint_with Bigint.to_hex
 
 let mk_specs ~n ~sessions ~spacing ~seed =
   List.init sessions (fun k ->
@@ -80,6 +82,87 @@ let test_poll_equals_sim_k8 () =
 let test_poll_equals_sim_k64 () =
   check_poll_equals_sim ~sessions:64 ~spacing:1 ~n:7 ~t:2 ~seed:777
     [ ("poll", `Poll None) ]
+
+(* Single honest sessions that load the wire path from the protocol side:
+   Pi_Z on close negative inputs, Pi_N on 160,000-bit values (frames far
+   above the socket buffers and the default rings), and two phase-king
+   instances side by side under [Proto.both]. Each must match the simulator
+   exactly and satisfy agreement and validity. *)
+let test_poll_equals_sim_single_sessions () =
+  let n = 4 and t = 1 in
+  let corrupt = Array.make n false in
+  let both_backends show name protocol =
+    let specs = [ Engine.session ~sid:0 protocol ] in
+    let sim = Engine.run_sim ~n ~t ~corrupt specs in
+    let poll = Engine.run_poll ~n ~t ~corrupt specs in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: outputs+metrics+ledger poll = sim" name)
+      true
+      (fingerprint_with show poll = fingerprint_with show sim);
+    let r = List.hd poll.Engine.sessions in
+    (Engine.honest_outputs ~corrupt r, poll.Engine.aggregate)
+  in
+  let agreed name = function
+    | first :: rest ->
+        List.iter
+          (fun o -> Alcotest.(check bool) (name ^ ": agreement") true (o = first))
+          rest;
+        first
+    | [] -> Alcotest.fail (name ^ ": no outputs")
+  in
+  let inputs = [| -1005; -1003; -1004; -1004 |] in
+  let outs, _ =
+    both_backends Bigint.to_hex "Pi_Z" (fun ctx ->
+        Convex.agree_int ctx (Bigint.of_int inputs.(ctx.Ctx.me)))
+  in
+  let v = agreed "Pi_Z" outs in
+  Alcotest.(check bool) "Pi_Z: inside the honest range" true
+    (Bigint.compare (Bigint.of_int (-1005)) v <= 0
+    && Bigint.compare v (Bigint.of_int (-1003)) <= 0);
+  let big = Bigint.pred (Bigint.pow2 160_000) in
+  let outs, agg =
+    both_backends Bigint.to_hex "Pi_N long values" (fun ctx ->
+        Convex.agree_nat ctx (Bigint.sub big (Bigint.of_int ctx.Ctx.me)))
+  in
+  let v = agreed "Pi_N long values" outs in
+  Alcotest.(check bool) "Pi_N long values: inside the honest range" true
+    (Bigint.compare (Bigint.sub big (Bigint.of_int (n - 1))) v <= 0
+    && Bigint.compare v big <= 0);
+  Alcotest.(check bool) "Pi_N long values: moved real bytes" true
+    (agg.Engine.payload_bytes > 100_000);
+  let inputs_a = [| "x"; "y"; "x"; "x" |] in
+  let outs, _ =
+    both_backends
+      (fun (a, b) -> Printf.sprintf "%s/%b" a b)
+      "Proto.both"
+      (fun ctx ->
+        Proto.both
+          (Ba.Phase_king.run_bytes ctx inputs_a.(ctx.Ctx.me))
+          (Ba.Phase_king.run_bit ctx (ctx.Ctx.me < 2)))
+  in
+  let a, _ = agreed "Proto.both" outs in
+  Alcotest.(check bool) "Proto.both: branch A output is an input" true
+    (Array.exists (String.equal a) inputs_a)
+
+(* A party that raises after a round of real frames: the exception reaches
+   the caller, and the mesh's sockets are all closed on the way out. *)
+let test_exception_tears_down_mesh () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let n = 4 and t = 1 in
+  let ( let* ) = Proto.( let* ) in
+  let protocol (ctx : Ctx.t) =
+    let* _ = Proto.broadcast "r1" in
+    if ctx.Ctx.me = 1 then failwith "boom";
+    let* _ = Proto.broadcast "r2" in
+    Proto.return ()
+  in
+  let before = open_fds () in
+  Alcotest.check_raises "party failure reaches the caller" (Failure "boom")
+    (fun () ->
+      ignore
+        (Engine.run_poll ~n ~t ~corrupt:(Array.make n false)
+           [ Engine.session ~sid:0 protocol ]));
+  Alcotest.(check int) "no fd leaked" before (open_fds ())
 
 (* ---- backpressure --------------------------------------------------------- *)
 
@@ -267,6 +350,10 @@ let suite =
       `Quick test_poll_equals_sim_k8;
     Alcotest.test_case "poll = sim: K=64 equivocate" `Quick
       test_poll_equals_sim_k64;
+    Alcotest.test_case "poll = sim: single sessions (Pi_Z, long Pi_N, both)"
+      `Slow test_poll_equals_sim_single_sessions;
+    Alcotest.test_case "exception tears down the mesh" `Quick
+      test_exception_tears_down_mesh;
     Alcotest.test_case "slow edge parks, everything still delivered" `Quick
       test_exchange_slow_edge;
     Alcotest.test_case "engine progresses under starved rings" `Quick

@@ -112,7 +112,7 @@ let test_default_equals_explicit_everywhere () =
     [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
-(* CLI surface: unknown --ba backend exits 2                           *)
+(* CLI surface: unknown --ba / --backend exits 2                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Resolve relative to the test binary: dune runs tests from the test build
@@ -127,6 +127,11 @@ let test_cli_unknown_ba_exits_2 () =
   Alcotest.check Alcotest.int "unknown --ba backend" 2 code;
   let code = Sys.command (cli ^ " engine --ba bogus >/dev/null 2>/dev/null") in
   Alcotest.check Alcotest.int "unknown --ba backend (engine)" 2 code;
+  (* The removed thread-per-party backend takes the unknown-backend path. *)
+  let code =
+    Sys.command (cli ^ " engine --backend unix >/dev/null 2>/dev/null")
+  in
+  Alcotest.check Alcotest.int "unknown --backend (engine)" 2 code;
   (* And the flag's happy path parses: list shows the catalogue. *)
   let code = Sys.command (cli ^ " list >/dev/null 2>/dev/null") in
   Alcotest.check Alcotest.int "list" 0 code

@@ -1,6 +1,6 @@
-(* Telemetry: the ledger-equality invariant on every backend (sim, unix,
-   engine sim/unix), canonical JSONL determinism, cross-backend export
-   equality, and the convex-hull convergence probes. *)
+(* Telemetry: the ledger-equality invariant on every backend (sim, engine
+   sim/poll), canonical JSONL determinism, and the convex-hull convergence
+   probes. Cross-backend JSONL byte-identity lives in test_poll.ml. *)
 
 open Net
 
@@ -37,37 +37,6 @@ let test_ledger_sim () =
     "label_bits = Metrics.labels" report.Workload.labels
     (Telemetry.label_bits tm)
 
-let test_ledger_unix_and_cross_backend () =
-  let n = 4 and t = 1 in
-  let inputs = Array.init n (fun i -> Bigint.of_int (70 + i)) in
-  let protocol ctx = Convex.agree_int ctx inputs.(ctx.Ctx.me) in
-  let tm_unix = Telemetry.create () in
-  let outs, stats = Net_unix.run ~t ~telemetry:tm_unix ~n protocol in
-  Alcotest.check Alcotest.int "span bits = 8 x payload bytes"
-    (8 * stats.Net_unix.bytes_sent)
-    (Telemetry.honest_bits_total tm_unix);
-  (* The same protocol in an honest simulator run: the two recorders use the
-     same round conventions, so the exports agree byte for byte. *)
-  let tm_sim = Telemetry.create () in
-  let outcome =
-    Sim.run ~telemetry:tm_sim ~n ~t
-      ~corrupt:(Array.make n false)
-      ~adversary:Adversary.passive protocol
-  in
-  Alcotest.check Alcotest.int "sim ledger"
-    outcome.Sim.metrics.Metrics.honest_bits
-    (Telemetry.honest_bits_total tm_sim);
-  Alcotest.check Alcotest.string "sim and unix export identical JSONL"
-    (Telemetry.to_jsonl tm_sim)
-    (Telemetry.to_jsonl tm_unix);
-  Array.iteri
-    (fun i o ->
-      Alcotest.check Alcotest.bool
-        (Printf.sprintf "party %d outputs agree" i)
-        true
-        (Bigint.equal o (Option.get outcome.Sim.outputs.(i))))
-    outs
-
 let test_ledger_engine_sim () =
   let corrupt = Workload.spread_corrupt ~n ~t in
   let sessions = 4 in
@@ -79,48 +48,36 @@ let test_ledger_engine_sim () =
   in
   (* Non-contiguous sids and staggered arrivals: the ledger must hold per
      session id, not per input slot. *)
-  let specs =
+  let specs () =
     List.init sessions (fun k ->
         Engine.session ~start_round:(k * 2)
           ~adversary:(Adversary.equivocate ~seed:(50 + k))
           ~sid:(k * 3)
           (fun ctx -> Convex.agree_int ctx inputs.(k).(ctx.Ctx.me)))
   in
-  let tm = Telemetry.create () in
-  let outcome = Engine.run_sim ~telemetry:tm ~n ~t ~corrupt specs in
+  (* The same ledger must hold when the frames move through the poll
+     backend's socket mesh. *)
   List.iter
-    (fun r ->
-      Alcotest.check Alcotest.int
-        (Printf.sprintf "session %d ledger" r.Engine.r_sid)
-        r.Engine.r_metrics.Metrics.honest_bits
-        (Telemetry.honest_bits tm ~session:r.Engine.r_sid))
-    outcome.Engine.sessions;
-  Alcotest.check Alcotest.int "aggregate ledger"
-    outcome.Engine.aggregate.Engine.honest_bits_total
-    (Telemetry.honest_bits_total tm);
-  Alcotest.check (Alcotest.list Alcotest.int) "session ids recorded"
-    [ 0; 3; 6; 9 ] (Telemetry.sessions tm)
-
-let test_ledger_engine_unix () =
-  let n = 4 and t = 1 in
-  let sessions = 4 in
-  let specs =
-    List.init sessions (fun k ->
-        Engine.session ~start_round:k ~sid:k (fun ctx ->
-            Convex.agree_int ctx (Bigint.of_int (100 + (10 * k) + ctx.Ctx.me))))
-  in
-  let tm = Telemetry.create () in
-  let outcome = Engine.run_unix ~t ~telemetry:tm ~n specs in
-  List.iter
-    (fun r ->
-      Alcotest.check Alcotest.int
-        (Printf.sprintf "session %d ledger" r.Engine.r_sid)
-        r.Engine.r_metrics.Metrics.honest_bits
-        (Telemetry.honest_bits tm ~session:r.Engine.r_sid))
-    outcome.Engine.sessions;
-  Alcotest.check Alcotest.int "aggregate ledger"
-    outcome.Engine.aggregate.Engine.honest_bits_total
-    (Telemetry.honest_bits_total tm)
+    (fun (backend, run) ->
+      let tm = Telemetry.create () in
+      let outcome : Bigint.t Engine.outcome = run ~telemetry:tm in
+      List.iter
+        (fun r ->
+          Alcotest.check Alcotest.int
+            (Printf.sprintf "%s session %d ledger" backend r.Engine.r_sid)
+            r.Engine.r_metrics.Metrics.honest_bits
+            (Telemetry.honest_bits tm ~session:r.Engine.r_sid))
+        outcome.Engine.sessions;
+      Alcotest.check Alcotest.int (backend ^ " aggregate ledger")
+        outcome.Engine.aggregate.Engine.honest_bits_total
+        (Telemetry.honest_bits_total tm);
+      Alcotest.check (Alcotest.list Alcotest.int)
+        (backend ^ " session ids recorded")
+        [ 0; 3; 6; 9 ] (Telemetry.sessions tm))
+    [
+      ("sim", fun ~telemetry -> Engine.run_sim ~telemetry ~n ~t ~corrupt (specs ()));
+      ("poll", fun ~telemetry -> Engine.run_poll ~telemetry ~n ~t ~corrupt (specs ()));
+    ]
 
 (* ---- canonical export ----------------------------------------------------- *)
 
@@ -264,11 +221,7 @@ let test_convergence_high_cost_ca () =
 let suite =
   [
     Alcotest.test_case "ledger: sim" `Quick test_ledger_sim;
-    Alcotest.test_case "ledger: unix + cross-backend JSONL" `Quick
-      test_ledger_unix_and_cross_backend;
     Alcotest.test_case "ledger: engine sim (K=4)" `Quick test_ledger_engine_sim;
-    Alcotest.test_case "ledger: engine unix (K=4)" `Quick
-      test_ledger_engine_unix;
     Alcotest.test_case "jsonl deterministic" `Quick test_jsonl_deterministic;
     Alcotest.test_case "probes-off recorder" `Quick test_probes_off;
     Alcotest.test_case "convergence: find_prefix" `Quick
