@@ -62,7 +62,10 @@ val succ : t -> t
 val gcd : t -> t -> t
 (** Greatest common divisor of the absolute values; [gcd 0 0 = 0]. *)
 
-(** {1 Hexadecimal I/O} *)
+(** {1 Hexadecimal I/O}
+
+    Both directions pack nibbles straight from and into limbs: O(ℓ) for an
+    ℓ-bit value. *)
 
 val to_hex : t -> string
 (** Lowercase, no leading zeros, ["-"]-prefixed when negative. *)
@@ -72,7 +75,11 @@ val of_hex : string -> t
     Raises [Invalid_argument] on malformed input. *)
 
 
-(** {1 Bit-level views (bridge to the protocol's bitstrings)} *)
+(** {1 Bit-level views (bridge to the protocol's bitstrings)}
+
+    [to_bitstring], [to_bitstring_fixed] and [of_bitstring] pack bytes
+    ([Bitstring.to_bytes] / [Bitstring.of_bytes]) straight from and into
+    limbs in one pass: O(ℓ) time and allocation for ℓ bits. *)
 
 val bit_length : t -> int
 (** Number of bits of the magnitude's minimal representation (paper's

@@ -3,7 +3,13 @@
     A value [b : t] is a finite sequence of bits [B1 B2 ... Bk], indexed from 1
     (leftmost / most significant) as in the paper. Bits are packed MSB-first
     into bytes. All operations are pure; the underlying buffer is never
-    mutated after construction. *)
+    mutated after construction.
+
+    [zero], [ones], [sub], [range], [prefix], [append], [min_fill],
+    [max_fill], [is_prefix], [longest_common_prefix], [compare], [equal] and
+    the byte conversions work on whole bytes and are linear in the lengths
+    involved, at any bit offset. Unused trailing bits of the last byte are
+    always zero, which keeps [equal] a plain comparison of buffers. *)
 
 type t
 
