@@ -1352,6 +1352,18 @@ let substrate () =
   let blob = String.init sha_bytes (fun i -> Char.chr ((i * 31) land 0xff)) in
   let sh = measure (fun () -> Sha256.digest blob) in
   emit ~op:"sha256" ~n:0 ~k:0 ~bytes:sha_bytes ~unit:`MBs ~fast:sh ~ref_ops:sh;
+  (* The shape Merkle hashes most: a tag byte and two 32-byte children, one
+     reused context, through the allocation-free entry points. *)
+  let node = Bytes.init 64 (fun i -> Char.chr ((i * 37) land 0xff)) in
+  let ctx = Sha256.init () and out = Bytes.create Sha256.digest_size in
+  let nd =
+    measure (fun () ->
+        Sha256.reset ctx;
+        Sha256.feed_byte ctx 0x01;
+        Sha256.feed_bytes ctx node ~pos:0 ~len:64;
+        Sha256.finalize_into ctx out ~pos:0)
+  in
+  emit ~op:"sha256_node" ~n:0 ~k:0 ~bytes:65 ~unit:`Ops ~fast:nd ~ref_ops:nd;
   write_json ~path:"BENCH_substrate.json"
     ~meta:
       [

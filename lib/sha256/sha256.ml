@@ -1,5 +1,5 @@
-(* SHA-256 per FIPS 180-4. Words are kept in OCaml ints masked to 32 bits;
-   on 64-bit platforms this is exact and avoids Int32 boxing. *)
+(* SHA-256 per FIPS 180-4. Words are kept in OCaml ints, which on 64-bit
+   platforms is exact and avoids Int32 boxing. *)
 
 let digest_size = 32
 let mask = 0xffffffff
@@ -65,25 +65,32 @@ let init () =
     w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* The kernel relies on the two invariants stated in the interface. The
+   doubled word [xx = x lor (x lsl 32)] holds [x] twice in bits 0..62, so bits
+   [n .. n+31] of [xx] are [rotr x n] for every [n <= 31]. Σ/σ/ch/maj keep
+   garbage above bit 31 and are masked only where a sum is stored in [a],
+   [e], [w] or the chaining state; [lsr] is the one operation that pulls high
+   bits down, and it is only applied to those masked words. *)
 
-let compress ctx =
+(* Compress the 64-byte block [src.[off .. off + 63]] into the state. *)
+let compress ctx src off =
   let w = ctx.w in
-  let b = ctx.block in
   for t = 0 to 15 do
-    w.(t) <-
-      (Char.code (Bytes.unsafe_get b (4 * t)) lsl 24)
-      lor (Char.code (Bytes.unsafe_get b ((4 * t) + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get b ((4 * t) + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get b ((4 * t) + 3))
+    let i = off + (4 * t) in
+    Array.unsafe_set w t
+      ((Bytes.get_uint16_be src i lsl 16) lor Bytes.get_uint16_be src (i + 2))
   done;
   for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let xx = x lor (x lsl 32) and yy = y lor (y lsl 32) in
+    let s0 = (xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3) in
+    let s1 = (yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10) in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
+      land mask)
   done;
   let a = ref ctx.h0
-  and bb = ref ctx.h1
+  and b = ref ctx.h1
   and c = ref ctx.h2
   and d = ref ctx.h3
   and e = ref ctx.h4
@@ -91,23 +98,24 @@ let compress ctx =
   and g = ref ctx.h6
   and h = ref ctx.h7 in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let t1 = (!h + s1 + ch + k.(t) + w.(t)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !bb lxor (!a land !c) lxor (!bb land !c) in
-    let t2 = (s0 + maj) land mask in
+    let ee = !e lor (!e lsl 32) in
+    let s1 = (ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25) in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let t1 = !h + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let aa = !a lor (!a lsl 32) in
+    let s0 = (aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22) in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
     h := !g;
     g := !f;
     f := !e;
     e := (!d + t1) land mask;
     d := !c;
-    c := !bb;
-    bb := !a;
-    a := (t1 + t2) land mask
+    c := !b;
+    b := !a;
+    a := (t1 + s0 + maj) land mask
   done;
   ctx.h0 <- (ctx.h0 + !a) land mask;
-  ctx.h1 <- (ctx.h1 + !bb) land mask;
+  ctx.h1 <- (ctx.h1 + !b) land mask;
   ctx.h2 <- (ctx.h2 + !c) land mask;
   ctx.h3 <- (ctx.h3 + !d) land mask;
   ctx.h4 <- (ctx.h4 + !e) land mask;
@@ -115,23 +123,34 @@ let compress ctx =
   ctx.h6 <- (ctx.h6 + !g) land mask;
   ctx.h7 <- (ctx.h7 + !h) land mask
 
-let feed_bytes ctx b ~pos ~len =
+let feed_bytes ctx src ~pos ~len =
   if ctx.finished then invalid_arg "Sha256.feed: finalized context";
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
+  if pos < 0 || len < 0 || pos + len > Bytes.length src then
     invalid_arg "Sha256.feed_bytes: out of range";
   ctx.total <- ctx.total + len;
   let pos = ref pos and left = ref len in
-  while !left > 0 do
-    let take = min (64 - ctx.fill) !left in
-    Bytes.blit b !pos ctx.block ctx.fill take;
+  (* Top up a partially filled block first... *)
+  if ctx.fill > 0 then begin
+    let take = min (64 - ctx.fill) len in
+    Bytes.blit src !pos ctx.block ctx.fill take;
     ctx.fill <- ctx.fill + take;
     pos := !pos + take;
     left := !left - take;
     if ctx.fill = 64 then begin
-      compress ctx;
+      compress ctx ctx.block 0;
       ctx.fill <- 0
     end
-  done
+  end;
+  (* ...then compress whole blocks straight from [src]; buffer the tail. *)
+  while !left >= 64 do
+    compress ctx src !pos;
+    pos := !pos + 64;
+    left := !left - 64
+  done;
+  if !left > 0 then begin
+    Bytes.blit src !pos ctx.block 0 !left;
+    ctx.fill <- !left
+  end
 
 let feed ctx s =
   feed_bytes ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
@@ -142,7 +161,7 @@ let feed_byte ctx b =
   Bytes.unsafe_set ctx.block ctx.fill (Char.unsafe_chr (b land 0xff));
   ctx.fill <- ctx.fill + 1;
   if ctx.fill = 64 then begin
-    compress ctx;
+    compress ctx ctx.block 0;
     ctx.fill <- 0
   end
 
@@ -151,34 +170,26 @@ let finalize_into ctx out ~pos =
   if pos < 0 || pos + 32 > Bytes.length out then
     invalid_arg "Sha256.finalize_into: out of range";
   ctx.finished <- true;
-  let total_bits = ctx.total * 8 in
+  let block = ctx.block in
   (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  Bytes.set ctx.block ctx.fill '\x80';
+  Bytes.set block ctx.fill '\x80';
   ctx.fill <- ctx.fill + 1;
   if ctx.fill > 56 then begin
-    Bytes.fill ctx.block ctx.fill (64 - ctx.fill) '\000';
-    compress ctx;
+    Bytes.fill block ctx.fill (64 - ctx.fill) '\000';
+    compress ctx block 0;
     ctx.fill <- 0
   end;
-  Bytes.fill ctx.block ctx.fill (56 - ctx.fill) '\000';
-  for i = 0 to 7 do
-    Bytes.set ctx.block (56 + i) (Char.chr ((total_bits lsr (8 * (7 - i))) land 0xff))
-  done;
-  compress ctx;
-  let put i v =
-    Bytes.set out (pos + (4 * i)) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out (pos + (4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out (pos + (4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out (pos + (4 * i) + 3) (Char.chr (v land 0xff))
-  in
-  put 0 ctx.h0;
-  put 1 ctx.h1;
-  put 2 ctx.h2;
-  put 3 ctx.h3;
-  put 4 ctx.h4;
-  put 5 ctx.h5;
-  put 6 ctx.h6;
-  put 7 ctx.h7
+  Bytes.fill block ctx.fill (56 - ctx.fill) '\000';
+  Bytes.set_int64_be block 56 (Int64.of_int (ctx.total * 8));
+  compress ctx block 0;
+  Bytes.set_int32_be out pos (Int32.of_int ctx.h0);
+  Bytes.set_int32_be out (pos + 4) (Int32.of_int ctx.h1);
+  Bytes.set_int32_be out (pos + 8) (Int32.of_int ctx.h2);
+  Bytes.set_int32_be out (pos + 12) (Int32.of_int ctx.h3);
+  Bytes.set_int32_be out (pos + 16) (Int32.of_int ctx.h4);
+  Bytes.set_int32_be out (pos + 20) (Int32.of_int ctx.h5);
+  Bytes.set_int32_be out (pos + 24) (Int32.of_int ctx.h6);
+  Bytes.set_int32_be out (pos + 28) (Int32.of_int ctx.h7)
 
 let finalize ctx =
   let out = Bytes.create 32 in
