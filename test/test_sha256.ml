@@ -321,15 +321,13 @@ let prop_streaming_split =
 (* How one piece of a message reaches the context. *)
 type feed_path = Byte | Feed | Feed_bytes
 
-(* Feed [msg.[0 .. len-1]] in pieces cut at [cuts], each through its own
-   path; [Feed_bytes] reads the piece from a copy of the message placed at
-   [off] in a larger buffer, so whole blocks are compressed in place at that
-   alignment. *)
+(* Digest [msg] fed as consecutive [(path, pos, len)] pieces. [Feed_bytes]
+   reads its piece from a copy of [msg] placed at [off] in a larger buffer,
+   so whole blocks are compressed in place at that alignment. *)
 let digest_in_pieces ~off msg pieces =
   let buf = Bytes.make (off + String.length msg + 3) '\xa5' in
   Bytes.blit_string msg 0 buf off (String.length msg);
   let ctx = Sha256.init () in
-  Sha256.reset ctx;
   List.iter
     (fun (path, pos, len) ->
       match path with
@@ -388,38 +386,38 @@ let test_every_alignment () =
      blocks come straight from the buffer) and with one byte already
      buffered (the blit path tops the block up first). *)
   List.iter
-    (fun (name, byte) ->
+    (fun len ->
       List.iter
-        (fun len ->
-          let msg = String.make len byte in
-          let mixed = String.init len (fun i -> Char.chr ((i * 157) land 0xff)) in
+        (fun (name, msg) ->
           for off = 0 to 63 do
             List.iter
-              (fun (m, pieces) ->
+              (fun pieces ->
                 Alcotest.check Alcotest.string
-                  (Printf.sprintf "%s len=%d off=%d" name len off)
-                  (Sha256.to_hex (Ref.digest m))
-                  (Sha256.to_hex (digest_in_pieces ~off m pieces)))
+                  (Printf.sprintf "%s len=%d off=%d pieces=%d" name len off
+                     (List.length pieces))
+                  (Sha256.to_hex (Ref.digest msg))
+                  (Sha256.to_hex (digest_in_pieces ~off msg pieces)))
               [
-                (msg, [ (Feed_bytes, 0, len) ]);
-                (mixed, [ (Feed_bytes, 0, len) ]);
-                ( mixed,
-                  if len = 0 then []
-                  else [ (Byte, 0, 1); (Feed_bytes, 1, len - 1) ] );
+                [ (Feed_bytes, 0, len) ];
+                (if len = 0 then [] else [ (Byte, 0, 1); (Feed_bytes, 1, len - 1) ]);
               ]
           done)
-        [ 0; 1; 55; 56; 63; 64; 65; 127; 128; 129; 200 ])
-    [ ("ones", '\xff'); ("zeros", '\x00') ]
+        [
+          ("ones", String.make len '\xff');
+          ("zeros", String.make len '\x00');
+          ("mixed", String.init len (fun i -> Char.chr ((i * 157) land 0xff)));
+        ])
+    [ 0; 1; 55; 56; 63; 64; 65; 127; 128; 129; 200 ]
 
 (* ---- the documented hot path allocates nothing per digest ---- *)
 
-let hot_path_words ~digests ~prefix buf ~pos ~len =
+let hot_path_words ~digests buf ~pos ~len =
   let ctx = Sha256.init () in
   let out = Bytes.create 32 in
   let m0 = Gc.minor_words () in
   for _ = 1 to digests do
     Sha256.reset ctx;
-    Sha256.feed_byte ctx prefix;
+    Sha256.feed_byte ctx 0x01;
     Sha256.feed_bytes ctx buf ~pos ~len;
     Sha256.finalize_into ctx out ~pos:0
   done;
@@ -430,8 +428,8 @@ let test_hot_path_allocation_free () =
   let slice = Bytes.init 1001 (fun i -> Char.chr ((i * 89) land 0xff)) in
   List.iter
     (fun (name, buf, pos, len) ->
-      let few = hot_path_words ~digests:1_000 ~prefix:1 buf ~pos ~len
-      and many = hot_path_words ~digests:10_000 ~prefix:1 buf ~pos ~len in
+      let few = hot_path_words ~digests:1_000 buf ~pos ~len
+      and many = hot_path_words ~digests:10_000 buf ~pos ~len in
       if many > few then
         Alcotest.failf "%s: %.0f minor words over 10,000 digests > %.0f over 1,000"
           name many few)
