@@ -444,11 +444,11 @@ let suite =
     Alcotest.test_case "feed paths equivalent" `Quick test_feed_paths_equivalent;
     Alcotest.test_case "reset + reuse" `Quick test_reset_reuse;
     Alcotest.test_case "feed_bytes range checks" `Quick test_feed_bytes_range_checks;
-    Alcotest.test_case "every source alignment = reference" `Quick test_every_alignment;
-    Alcotest.test_case "hot path allocation-free" `Quick test_hot_path_allocation_free;
-    QCheck_alcotest.to_alcotest prop_matches_reference;
     QCheck_alcotest.to_alcotest prop_incremental_equals_oneshot;
     QCheck_alcotest.to_alcotest prop_digest_size;
     QCheck_alcotest.to_alcotest prop_deterministic;
     QCheck_alcotest.to_alcotest prop_streaming_split;
+    Alcotest.test_case "every source alignment = reference" `Quick test_every_alignment;
+    Alcotest.test_case "hot path allocation-free" `Quick test_hot_path_allocation_free;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]
