@@ -38,6 +38,7 @@ let attack_catalogue =
 let protocol_catalogue ~bits ~aa_rounds =
   [
     ("pi-z", Workload.pi_z);
+    ("front-door", Workload.front_door);
     ("high-cost-ca", Workload.high_cost_ca ~bits);
     ("broadcast-ca", Workload.broadcast_ca ~bits);
     ("broadcast-ca-parallel", Workload.broadcast_ca_parallel ~bits);

@@ -168,7 +168,7 @@ let draw_session ~corrupt ~n ~seed =
   let bits =
     Array.fold_left (fun acc v -> max acc (Bigint.bit_length v)) 64 inputs + 1
   in
-  let proto_idx = Prng.int rng 4 in
+  let proto_idx = Prng.int rng 5 in
   let stats =
     if proto_idx = 3 then Some (Array.init n (fun _ -> Adaptive.stats ()))
     else None
@@ -178,14 +178,15 @@ let draw_session ~corrupt ~n ~seed =
     | 0 -> Workload.pi_z
     | 1 -> Workload.high_cost_ca ~bits
     | 2 -> Workload.broadcast_ca ~bits
-    | _ ->
+    | 3 ->
         Workload.pi_z_adaptive
           ?stats_of:(Option.map (fun s me -> s.(me)) stats)
           ()
+    | _ -> Workload.front_door
   in
   (* Fixed-width comparators clamp magnitudes; route negative workloads to
-     the arbitrary-precision Pi_Z. The adaptive draw (index 3) also handles
-     all of Z and keeps its slot. *)
+     the arbitrary-precision Pi_Z. The adaptive draw (index 3) and the front
+     door (index 4) also handle all of Z and keep their slots. *)
   let proto =
     if
       (proto_idx = 1 || proto_idx = 2)

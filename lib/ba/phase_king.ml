@@ -32,17 +32,25 @@ let ( let* ) = Proto.( let* )
    were only ever compared, never kept; [argmax] re-derives them lazily on
    the rare count tie). Every downstream consumer is insensitive to entry
    order: at most one value can reach any >= t+1 threshold with counts from
-   distinct senders. *)
+   distinct senders. Honest senders mostly send the same bytes, so a sender
+   whose raw message equals an earlier sender's reuses that decoding (an
+   undecodable one included) instead of decoding again. *)
 let tally spec inbox =
   let n = Array.length inbox in
   let vals = Array.make n None in
   for i = 0 to n - 1 do
     match inbox.(i) with
     | None -> ()
-    | Some raw -> (
-        match spec.decode raw with
-        | None -> () (* undecodable byzantine bytes: ignore the sender *)
-        | Some _ as v -> vals.(i) <- v)
+    | Some raw ->
+        let j = ref 0 in
+        while
+          !j < i
+          && match inbox.(!j) with Some r -> not (String.equal r raw) | None -> true
+        do
+          incr j
+        done;
+        (* [None]: undecodable byzantine bytes, the sender is ignored. *)
+        vals.(i) <- (if !j < i then vals.(!j) else spec.decode raw)
   done;
   let acc = ref [] in
   for i = n - 1 downto 0 do

@@ -37,8 +37,8 @@ val tally : 'v spec -> Net.Proto.inbox -> ('v * int) list
 (** Count distinct decoded values in an inbox: [(value, occurrences)] in
     first-seen order, grouped by [spec.equal] (which agrees with equality of
     canonical encodings — [encode] is injective). Allocation-lean (one small
-    array, no Hashtbl, no re-encoding) — shared by the gradecast echo
-    counting. *)
+    array, no Hashtbl, no re-encoding), and each distinct raw message is
+    decoded once — shared by the gradecast echo counting and HIGHCOSTCA. *)
 
 val bit_spec : bool spec
 val bytes_spec : string spec

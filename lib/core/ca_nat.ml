@@ -23,6 +23,28 @@ module Make (B : Ba.Substrate.S) = struct
   module FL = Fixed_length_ca.Make (B)
   module FLB = Fixed_length_ca_blocks.Make (B)
 
+  (* Long regime: agree on a block size, pad/cap to ℓ_EST = blocksize·n² and
+     run the blocks protocol. Valid whatever split the caller's regime BA
+     used: the agreed block size lies within the honest ones, so some honest
+     value fits ℓ_EST bits and the cap 2^ℓ_EST−1 stays in the honest range. *)
+  let long_regime (ctx : Ctx.t) v_in =
+    let n2 = ctx.Ctx.n * ctx.Ctx.n in
+    let blocksize = (Bigint.bit_length v_in + n2 - 1) / n2 in
+    let* blocksize_agreed =
+      Proto.with_label "length_estimation"
+        (High_cost_ca.run ctx ~bits:blocksize_bits
+           (Bitstring.of_int_fixed ~bits:blocksize_bits blocksize))
+    in
+    let blocksize' = max 1 (Bitstring.to_int blocksize_agreed) in
+    let l_est = blocksize' * n2 in
+    let v =
+      if Bigint.bit_length v_in > l_est then Bigint.pred (Bigint.pow2 l_est) else v_in
+    in
+    let* out =
+      FLB.run ctx ~bits:l_est (Bigint.to_bitstring_fixed ~bits:l_est v)
+    in
+    Proto.return (Bigint.of_bitstring out)
+
   let run (ctx : Ctx.t) v_in =
   if Bigint.sign v_in < 0 then invalid_arg "Ca_nat.run: negative input";
   let n2 = ctx.Ctx.n * ctx.Ctx.n in
@@ -53,25 +75,7 @@ module Make (B : Ba.Substrate.S) = struct
     let* out = probe 0 v in
     Proto.return (Bigint.of_bitstring out)
   end
-  else begin
-    (* Long regime: agree on a block size, pad/cap to ℓ_EST = blocksize·n²
-       and run the blocks protocol. *)
-    let blocksize = (len + n2 - 1) / n2 in
-    let* blocksize_agreed =
-      Proto.with_label "length_estimation"
-        (High_cost_ca.run ctx ~bits:blocksize_bits
-           (Bitstring.of_int_fixed ~bits:blocksize_bits blocksize))
-    in
-    let blocksize' = max 1 (Bitstring.to_int blocksize_agreed) in
-    let l_est = blocksize' * n2 in
-    let v =
-      if Bigint.bit_length v_in > l_est then Bigint.pred (Bigint.pow2 l_est) else v_in
-    in
-    let* out =
-      FLB.run ctx ~bits:l_est (Bigint.to_bitstring_fixed ~bits:l_est v)
-    in
-    Proto.return (Bigint.of_bitstring out)
-  end
+  else long_regime ctx v_in
 end
 
 include Make (Ba.Substrate.Unauthenticated)

@@ -16,6 +16,13 @@ module Make (B : Ba.Substrate.S) : sig
   (** [run ctx v] joins Π_ℕ with input [v >= 0]; the honest parties obtain a
       common natural within their inputs' range. Raises [Invalid_argument]
       on a negative input. *)
+
+  val long_regime : Net.Ctx.t -> Bigint.t -> Bigint.t Net.Proto.t
+  (** Π_ℕ's long regime alone, for a caller whose own binary BA has already
+      chosen it: HIGHCOSTCA agrees on a block size of [blocksize_bits] bits,
+      values are capped to ℓ_EST = blocksize·n² bits, and FIXEDLENGTHCABLOCKS
+      runs on them. Its validity does not depend on the threshold that BA
+      decided. [v] must be [>= 0]. *)
 end
 
 include module type of Make (Ba.Substrate.Unauthenticated)

@@ -22,8 +22,10 @@
 
 (** {1 Top-level protocols} *)
 
-(** Π_ℤ — Convex Agreement on arbitrary integers (Section 6). *)
-let agree_int = Ca_int.run
+(** Convex Agreement on arbitrary integers, through the front door: the
+    cheaper of HIGHCOSTCA (inputs up to ℓ* = 512 bits) and Π_ℤ (Section 6)
+    — see {!Front_door}. [Ca_int.run] is Π_ℤ alone. *)
+let agree_int = Front_door.run
 
 (** Π_ℕ — Convex Agreement on naturals of unknown length (Section 5).
     Raises [Invalid_argument] on a negative input. *)
@@ -57,6 +59,7 @@ module Median_ba = Median_ba
 module Rank_ba = Rank_ba
 module Ca_nat = Ca_nat
 module Ca_int = Ca_int
+module Front_door = Front_door
 module Fixed_point = Fixed_point
 module Vector = Vector
 

@@ -48,22 +48,6 @@ let valid_values ~bits inbox =
     inbox;
   !out
 
-(* Count, for each distinct value, how many distinct senders sent it. *)
-let tally ~decode inbox =
-  let counts = Hashtbl.create 16 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some raw -> (
-          match decode raw with
-          | None -> ()
-          | Some v ->
-              let key = Bitstring.to_bytes v in
-              let _, c = Option.value ~default:(v, 0) (Hashtbl.find_opt counts key) in
-              Hashtbl.replace counts key (v, c + 1)))
-    inbox;
-  Hashtbl.fold (fun _ vc acc -> vc :: acc) counts []
-
 let best_supported entries =
   List.fold_left
     (fun best (v, c) ->
@@ -87,6 +71,16 @@ let run_custom (ctx : Ctx.t) ~bits ~select_interval v_in =
   if Bitstring.length v_in <> bits then invalid_arg "High_cost_ca.run: input length";
   let t = ctx.Ctx.t in
   let quorum = Ctx.quorum ctx in
+  (* Tallies count, for each distinct value, how many distinct senders sent
+     it ({!Ba.Phase_king.tally}, which reads only the specs' [equal] and
+     [decode]). Its first-seen entry order is invisible below: at most one
+     value reaches the quorum of values or t+1 proposals, and
+     [best_supported] breaks vote ties by value. *)
+  let value_spec =
+    { Ba.Phase_king.equal = Bitstring.equal; default = v_in; encode = encode_value;
+      decode = decode_value ~bits }
+  in
+  let opt_spec = { value_spec with decode = decode_opt ~bits } in
   Proto.with_label "high_cost_ca"
     ((* Setup: inputs. *)
      let* inbox = Proto.broadcast (encode_value v_in) in
@@ -150,14 +144,16 @@ let run_custom (ctx : Ctx.t) ~bits ~select_interval v_in =
          let* inbox1 = Proto.broadcast (encode_value current) in
          let proposal =
            match
-             List.find_opt (fun (_, c) -> c >= quorum) (tally ~decode:(decode_value ~bits) inbox1)
+             List.find_opt
+               (fun (_, c) -> c >= quorum)
+               (Ba.Phase_king.tally value_spec inbox1)
            with
            | Some (v, _) -> Some v
            | None -> None
          in
          (* Round 2: proposals. *)
          let* inbox2 = Proto.broadcast (encode_opt proposal) in
-         let propose_tally = tally ~decode:(decode_opt ~bits) inbox2 in
+         let propose_tally = Ba.Phase_king.tally opt_spec inbox2 in
          let strong = List.exists (fun (_, c) -> c >= quorum) propose_tally in
          let current =
            match List.find_opt (fun (_, c) -> c >= t + 1) propose_tally with
@@ -191,7 +187,9 @@ let run_custom (ctx : Ctx.t) ~bits ~select_interval v_in =
            else
              match
                best_supported
-                 (List.filter (fun (_, c) -> c >= t + 1) (tally ~decode:(decode_opt ~bits) inbox4))
+                 (List.filter
+                    (fun (_, c) -> c >= t + 1)
+                    (Ba.Phase_king.tally opt_spec inbox4))
              with
              | Some (kv, _) -> kv
              | None -> current

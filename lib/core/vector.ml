@@ -1,6 +1,6 @@
 (** Coordinate-wise Convex Agreement on integer vectors.
 
-    Runs Π_ℤ once per dimension (sequentially in one protocol value). The
+    Runs integer CA ({!Front_door.run}) once per dimension. The
     guarantee is {b box validity}: every coordinate of the common output lies
     within the range of the honest inputs' values {e in that coordinate} —
     i.e. the output is inside the honest inputs' bounding box.
@@ -14,7 +14,7 @@
     trimmed aggregation rules of the distributed-learning applications
     [4, 18, 48] provide, at d × the 1-D cost.
 
-    Communication: d × BITS(Π_ℤ); rounds: d × ROUNDS(Π_ℤ). *)
+    Communication: at most d × BITS(Π_ℤ); rounds: at most ROUNDS(Π_ℤ). *)
 
 open Net
 
@@ -23,14 +23,14 @@ open Net
     (dimension is a protocol parameter; a mismatch across honest parties is
     a caller bug, not byzantine behaviour).
 
-    The d per-coordinate Π_ℤ instances run under {!Net.Proto.parallel}, so
-    the round count is one Π_ℤ's worth, not d of them. *)
+    The d per-coordinate instances run under {!Net.Proto.parallel}, so
+    the round count is the slowest coordinate's, not the sum of d. *)
 let agree (ctx : Ctx.t) vector =
   let dims = Array.length vector in
   if dims = 0 then invalid_arg "Vector.agree: empty vector";
   Proto.with_label "vector_ca"
     (Proto.map
-       (Proto.parallel (List.init dims (fun d -> Ca_int.run ctx vector.(d))))
+       (Proto.parallel (List.init dims (fun d -> Front_door.run ctx vector.(d))))
        Array.of_list)
 
 (** Box-hull membership: every coordinate within the honest per-coordinate

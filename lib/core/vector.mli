@@ -1,6 +1,6 @@
-(** Coordinate-wise Convex Agreement on integer vectors: Π_ℤ once per
-    dimension, under {!Net.Proto.parallel} so the round count is one Π_ℤ's
-    worth, not d of them.
+(** Coordinate-wise Convex Agreement on integer vectors: integer CA
+    ({!Front_door.run}) once per dimension, under {!Net.Proto.parallel} so
+    the round count is the slowest coordinate's, not the sum of d of them.
 
     The guarantee is {b box validity}: every coordinate of the common output
     lies within the honest inputs' range in that coordinate — the output is
@@ -10,7 +10,7 @@
     validity is exactly what the coordinate-wise trimmed aggregation rules of
     the distributed-learning applications provide, at d × the 1-D cost.
 
-    Communication: d × BITS(Π_ℤ); rounds: ROUNDS(Π_ℤ). *)
+    Communication: at most d × BITS(Π_ℤ); rounds: at most ROUNDS(Π_ℤ). *)
 
 val agree : Net.Ctx.t -> Bigint.t array -> Bigint.t array Net.Proto.t
 (** [agree ctx v]: all honest parties must join with vectors of the same

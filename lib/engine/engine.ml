@@ -411,8 +411,11 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
         | [], Some _ -> labels_now.(i) <- None
         | lb :: _, _ -> labels_now.(i) <- Some lb
       done;
-      (* Accounting: per-session metrics see raw payloads (self free). *)
+      (* Accounting: per-session metrics see raw payloads (self free). A
+         sender's honest messages share one label, so the ledger takes one
+         update per row. *)
       for s = 0 to n - 1 do
+        let row_msgs = ref 0 and row_bytes = ref 0 in
         for r = 0 to n - 1 do
           if s <> r then
             match actual.(s).(r) with
@@ -426,10 +429,13 @@ let run_core ?(max_rounds = default_max_rounds) ?(domains = 1) ?trace ?telemetry
                 | None -> ());
                 if corrupt.(s) then
                   Metrics.record_byzantine metrics ~bytes:(String.length m)
-                else
-                  Metrics.record_honest metrics ~label:labels_now.(s)
-                    ~bytes:(String.length m)
-        done
+                else begin
+                  incr row_msgs;
+                  row_bytes := !row_bytes + String.length m
+                end
+        done;
+        Metrics.record_honest_row metrics ~label:labels_now.(s) ~msgs:!row_msgs
+          ~bytes:!row_bytes
       done;
       (* A frame-per-session transport would send one frame per peer from
          every party whose instance is still stepping (counted before

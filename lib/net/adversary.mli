@@ -34,7 +34,14 @@ val prescribed_msg : view -> sender:int -> recipient:int -> string option
 (** What the sender's instance wanted to send — the "behave honestly"
     building block. *)
 
-(** {1 Strategies} *)
+(** {1 Strategies}
+
+    A strategy built from a [~seed] ([garbage], [spammer], [equivocate],
+    [bitflip], and {!all_generic}'s members) carries live PRNG state that
+    advances every time it acts, and [delayer ()] remembers the previous
+    round: each such value is {b single-use}. Two runs that must face the
+    same byzantine messages — a reference run and the run checked against
+    it — each need a freshly built adversary. *)
 
 val passive : t
 (** Corrupted parties follow the protocol on their own inputs. Combined with

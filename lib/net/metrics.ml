@@ -40,15 +40,21 @@ let is_empty m =
   && Hashtbl.length m.by_label = 0
 
 (* [Hashtbl.find] + [Not_found] rather than [find_opt]: this runs once per
-   honest message, the lookup hits on all but a label's first message, and
-   [find_opt]'s [Some] box is pure allocation on that path. *)
-let record_honest m ~label ~bytes =
-  let bits = 8 * bytes in
-  m.honest_bits <- m.honest_bits + bits;
-  m.honest_msgs <- m.honest_msgs + 1;
-  let label = match label with Some l -> l | None -> no_label in
-  let prior = match Hashtbl.find m.by_label label with b -> b | exception Not_found -> 0 in
-  Hashtbl.replace m.by_label label (bits + prior)
+   honest sender row per round, the lookup hits on all but a label's first
+   row, and [find_opt]'s [Some] box is pure allocation on that path. A row
+   with no message leaves the label table untouched, exactly as no call
+   would; a row of empty messages still enters its label (with 0 bits). *)
+let record_honest_row m ~label ~msgs ~bytes =
+  if msgs > 0 then begin
+    let bits = 8 * bytes in
+    m.honest_bits <- m.honest_bits + bits;
+    m.honest_msgs <- m.honest_msgs + msgs;
+    let label = match label with Some l -> l | None -> no_label in
+    let prior = match Hashtbl.find m.by_label label with b -> b | exception Not_found -> 0 in
+    Hashtbl.replace m.by_label label (bits + prior)
+  end
+
+let record_honest m ~label ~bytes = record_honest_row m ~label ~msgs:1 ~bytes
 
 let record_byzantine m ~bytes =
   m.byz_bits <- m.byz_bits + (8 * bytes);

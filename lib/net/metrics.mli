@@ -38,6 +38,13 @@ val is_empty : t -> bool
     zero and the label table is empty — the state {!create} returns. *)
 
 val record_honest : t -> label:string option -> bytes:int -> unit
+(** One honest message of [bytes] bytes, charged to [label]. *)
+
+val record_honest_row : t -> label:string option -> msgs:int -> bytes:int -> unit
+(** [msgs] honest messages totalling [bytes] bytes, all charged to [label]
+    — one sender's row of a round, with one label-table update. Equal to
+    [msgs] calls of {!record_honest} whose sizes sum to [bytes]. *)
+
 val record_byzantine : t -> bytes:int -> unit
 
 val merge : into:t -> t -> unit

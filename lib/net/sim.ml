@@ -108,16 +108,16 @@ let run ?(max_rounds = default_max_rounds) ?(allow_excess_corruptions = false) ?
                     Some (String.sub m 0 max_byzantine_bytes)
                 | other -> other))
     in
-    (* 3. Accounting (self-addressed messages are free). *)
+    (* 3. Accounting (self-addressed messages are free). A sender's honest
+       messages share one label, so the ledger takes one update per row. *)
     for s = 0 to n - 1 do
+      let label = match label_stacks.(s) with [] -> None | l :: _ -> Some l in
+      let row_msgs = ref 0 and row_bytes = ref 0 in
       for r = 0 to n - 1 do
         if s <> r then
           match actual.(s).(r) with
           | None -> ()
           | Some m ->
-              let label =
-                match label_stacks.(s) with [] -> None | l :: _ -> Some l
-              in
               (match trace with
               | Some tr ->
                   Trace.record tr
@@ -139,8 +139,12 @@ let run ?(max_rounds = default_max_rounds) ?(allow_excess_corruptions = false) ?
               | None -> ());
               if corrupt.(s) then
                 Metrics.record_byzantine metrics ~bytes:(String.length m)
-              else Metrics.record_honest metrics ~label ~bytes:(String.length m)
-      done
+              else begin
+                incr row_msgs;
+                row_bytes := !row_bytes + String.length m
+              end
+      done;
+      Metrics.record_honest_row metrics ~label ~msgs:!row_msgs ~bytes:!row_bytes
     done;
     (* 4. Deliver and advance. Party [i]'s continuation reads the shared
        [actual] matrix (frozen for the round) and writes only its own slots —

@@ -173,7 +173,10 @@ type protocol = {
   solves_ca : bool;  (** false for plain-BA comparators: no convex validity *)
 }
 
-let pi_z = { proto_name = "Pi_Z (this paper)"; run = Convex.agree_int; solves_ca = true }
+let pi_z = { proto_name = "Pi_Z (this paper)"; run = Convex.Ca_int.run; solves_ca = true }
+
+let front_door =
+  { proto_name = "Front door (HighCostCA <= l*, Pi_Z above)"; run = Convex.agree_int; solves_ca = true }
 
 (* Π_ℤ with its BA sub-calls routed through the authenticated t < n/2
    substrate. The substrate (and its instance counter) is created inside the

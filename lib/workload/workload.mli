@@ -100,7 +100,11 @@ type protocol = {
 }
 
 val pi_z : protocol
-(** Π_ℤ — this paper. *)
+(** Π_ℤ — this paper ({!Convex.Ca_int.run}, at every (n, ℓ)). *)
+
+val front_door : protocol
+(** {!Convex.agree_int}: HIGHCOSTCA on inputs up to ℓ* bits, Π_ℤ above
+    ({!Convex.Front_door}). *)
 
 val pi_z_auth : Auth.Setup.t -> protocol
 (** Π_ℤ with its BA sub-calls routed through the authenticated t < n/2

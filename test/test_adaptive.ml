@@ -79,7 +79,7 @@ let test_fast_path_engages_at_f0 () =
   (* The whole point: an order of magnitude fewer bits than Pi_Z. *)
   let plain =
     Sim.run ~n ~t ~corrupt ~adversary:Adversary.passive (fun ctx ->
-        Convex.agree_int ctx inputs.(ctx.Ctx.me))
+        Convex.Ca_int.run ctx inputs.(ctx.Ctx.me))
   in
   let fast_bits = outcome.Sim.metrics.Metrics.honest_bits in
   let plain_bits = plain.Sim.metrics.Metrics.honest_bits in

@@ -202,6 +202,125 @@ let prop_agreement =
       in
       all_equal (Sim.honest_outputs ~corrupt outcome))
 
+(* ---- tally: differential against the two tallies it replaced ------------- *)
+
+(* Phase_king.tally before decodings were shared between equal raw
+   messages: decode every sender, group by [spec.equal], first-seen order. *)
+let reference_phase_king_tally (spec : _ Ba.Phase_king.spec) inbox =
+  let n = Array.length inbox in
+  let vals =
+    Array.map (function None -> None | Some raw -> spec.Ba.Phase_king.decode raw) inbox
+  in
+  let acc = ref [] in
+  for i = n - 1 downto 0 do
+    match vals.(i) with
+    | None -> ()
+    | Some v ->
+        let first = ref true in
+        for j = 0 to i - 1 do
+          match vals.(j) with
+          | Some w when spec.Ba.Phase_king.equal w v -> first := false
+          | Some _ | None -> ()
+        done;
+        if !first then begin
+          let c = ref 0 in
+          for j = i to n - 1 do
+            match vals.(j) with
+            | Some w when spec.Ba.Phase_king.equal w v -> incr c
+            | Some _ | None -> ()
+          done;
+          acc := (v, !c) :: !acc
+        end
+  done;
+  !acc
+
+(* HIGHCOSTCA's former tally: a Hashtbl keyed by the value's bytes, in
+   table order. *)
+let reference_high_cost_tally ~decode inbox =
+  let counts = Hashtbl.create 16 in
+  Array.iter
+    (function
+      | None -> ()
+      | Some raw -> (
+          match decode raw with
+          | None -> ()
+          | Some v ->
+              let key = Bitstring.to_bytes v in
+              let _, c = Option.value ~default:(v, 0) (Hashtbl.find_opt counts key) in
+              Hashtbl.replace counts key (v, c + 1)))
+    inbox;
+  Hashtbl.fold (fun _ vc acc -> vc :: acc) counts []
+
+(* HIGHCOSTCA's two decoders: a [bits]-wide value, and an optional one. *)
+let tally_bits = 8
+
+let decode_value raw =
+  match Wire.decode_full (Wire.r_bits ()) raw with
+  | Some v when Bitstring.length v = tally_bits -> Some v
+  | Some _ | None -> None
+
+let decode_opt raw =
+  match Wire.decode_full (Wire.r_option (Wire.r_bits ())) raw with
+  | Some (Some v) when Bitstring.length v = tally_bits -> Some v
+  | Some _ | None -> None
+
+(* Inboxes over a small pool of raw messages, so that equal bytes, equal
+   values, undecodable bytes and silent senders all recur. *)
+let inbox_gen =
+  let open QCheck.Gen in
+  let* values = list_size (int_range 1 3) (int_bound 255) in
+  let bits v = Bitstring.of_int_fixed ~bits:tally_bits v in
+  let pool =
+    List.concat_map
+      (fun v ->
+        [
+          Wire.encode (Wire.w_bits (bits v));
+          Wire.encode (Wire.w_option Wire.w_bits (Some (bits v)));
+        ])
+      values
+    @ [
+        Wire.encode (Wire.w_option Wire.w_bits None);
+        Wire.encode (Wire.w_bits (Bitstring.of_int_fixed ~bits:9 3));
+        "";
+        "\000";
+        "\001";
+        "\255\255";
+      ]
+  in
+  let* n = int_range 1 10 in
+  let+ slots = array_size (return n) (opt (oneofl pool)) in
+  slots
+
+let print_inbox inbox =
+  String.concat "; "
+    (Array.to_list
+       (Array.map (function None -> "-" | Some raw -> String.escaped raw) inbox))
+
+let prop_tally_differential =
+  let sort entries = List.sort (fun (a, _) (b, _) -> Bitstring.compare a b) entries in
+  let hc_spec decode =
+    {
+      Ba.Phase_king.equal = Bitstring.equal;
+      default = Bitstring.empty;
+      encode = (fun v -> Wire.encode (Wire.w_bits v));
+      decode;
+    }
+  in
+  QCheck.Test.make ~name:"tally = both replaced tallies (random inboxes)" ~count:500
+    (QCheck.make ~print:print_inbox inbox_gen)
+    (fun inbox ->
+      (* Phase king's own specs: identical entries, counts and order. *)
+      let same spec = Ba.Phase_king.tally spec inbox = reference_phase_king_tally spec inbox in
+      same Ba.Phase_king.bytes_spec
+      && same Ba.Phase_king.option_spec
+      && same Ba.Phase_king.bit_spec
+      (* HIGHCOSTCA's decoders: identical entries and counts. *)
+      && List.for_all
+           (fun decode ->
+             sort (Ba.Phase_king.tally (hc_spec decode) inbox)
+             = sort (reference_high_cost_tally ~decode inbox))
+           [ decode_value; decode_opt ])
+
 let suite =
   [
     Alcotest.test_case "validity all honest" `Quick test_validity_all_honest;
@@ -214,4 +333,5 @@ let suite =
     Alcotest.test_case "turpin-coan" `Quick test_turpin_coan;
     Alcotest.test_case "TC communication advantage" `Quick test_tc_cheaper_than_ba_for_long_values;
     QCheck_alcotest.to_alcotest prop_agreement;
+    QCheck_alcotest.to_alcotest prop_tally_differential;
   ]

@@ -223,6 +223,28 @@ let test_prng_determinism () =
   Alcotest.check Alcotest.bool "different seed differs" true (xs (Prng.create 42) <> xs c);
   Alcotest.check Alcotest.int "bytes length" 17 (String.length (Prng.bytes a 17))
 
+(* The runtimes charge a sender's honest messages of one round with one
+   [record_honest_row]; that must equal one [record_honest] per message —
+   bits, message count and the label table (hence [labels] order), on rows
+   with empty messages, empty rows and unlabelled senders. *)
+let prop_metrics_row_equals_per_message =
+  let label_gen = QCheck.Gen.(opt (oneofl [ "a"; "b"; "pi_ba"; "high_cost_ca" ])) in
+  let row_gen = QCheck.Gen.(pair label_gen (list_size (int_bound 6) (int_bound 40))) in
+  QCheck.Test.make ~name:"metrics: row accounting = per-message accounting" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 30) row_gen))
+    (fun rows ->
+      let per_msg = Metrics.create () and per_row = Metrics.create () in
+      List.iter
+        (fun (label, sizes) ->
+          List.iter (fun bytes -> Metrics.record_honest per_msg ~label ~bytes) sizes;
+          Metrics.record_honest_row per_row ~label ~msgs:(List.length sizes)
+            ~bytes:(List.fold_left ( + ) 0 sizes))
+        rows;
+      per_msg.Metrics.honest_bits = per_row.Metrics.honest_bits
+      && per_msg.Metrics.honest_msgs = per_row.Metrics.honest_msgs
+      && Metrics.labels per_msg = Metrics.labels per_row
+      && Metrics.is_empty per_msg = Metrics.is_empty per_row)
+
 let suite =
   [
     Alcotest.test_case "all-honest delivery" `Quick test_all_honest_delivery;
@@ -238,5 +260,6 @@ let suite =
       test_metrics_labels_deterministic;
     Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
     Alcotest.test_case "metrics snapshot/diff" `Quick test_metrics_snapshot_diff;
+    QCheck_alcotest.to_alcotest prop_metrics_row_equals_per_message;
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
   ]

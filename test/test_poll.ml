@@ -211,15 +211,18 @@ let test_exchange_slow_edge () =
 let test_engine_progresses_under_backpressure () =
   let n = 7 and t = 2 and sessions = 16 in
   let corrupt = Workload.spread_corrupt ~n ~t in
-  let specs = mk_specs ~n ~sessions ~spacing:1 ~seed:1312 in
-  let reference = Engine.run_sim ~n ~t ~corrupt specs in
+  (* Fresh specs per run: a seeded adversary is single-use (its PRNG state
+     advances as it acts), so sharing one list would face the second run
+     with different byzantine messages than the first. *)
+  let specs () = mk_specs ~n ~sessions ~spacing:1 ~seed:1312 in
+  let reference = Engine.run_sim ~n ~t ~corrupt (specs ()) in
   let net = Net_poll.create ~outbuf:64 ~n () in
   let outcome =
     Fun.protect
       ~finally:(fun () -> Net_poll.close net)
       (fun () ->
         Engine.run_core ~transport:(Net_poll.transport net) ~n ~t ~corrupt
-          specs)
+          (specs ()))
   in
   Alcotest.(check bool) "outcome identical to sim" true
     (fingerprint outcome = fingerprint reference);

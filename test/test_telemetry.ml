@@ -140,9 +140,10 @@ let convergence_of ?bits ~protocol ~adversary ~attack ~key ~seed () =
 
 let test_convergence_find_prefix () =
   (* bits = 32 < n^2 = 49: Pi_Z takes the short regime, which binary-searches
-     bit windows via FINDPREFIX. *)
+     bit windows via FINDPREFIX. Pi_Z itself, not the front door, which runs
+     HIGHCOSTCA on inputs this short. *)
   let tm, honest_curve =
-    convergence_of ~bits:32 ~protocol:Workload.pi_z.Workload.run
+    convergence_of ~bits:32 ~protocol:Convex.Ca_int.run
       ~adversary:Adversary.passive ~attack:Workload.Honest_inputs
       ~key:"find_prefix.v" ~seed:21 ()
   in
@@ -150,7 +151,7 @@ let test_convergence_find_prefix () =
   Alcotest.check Alcotest.bool "key listed" true
     (List.mem "find_prefix.v" (Telemetry.probe_keys tm ~session:0));
   let _, adv_curve =
-    convergence_of ~bits:32 ~protocol:Workload.pi_z.Workload.run
+    convergence_of ~bits:32 ~protocol:Convex.Ca_int.run
       ~adversary:(Adversary.equivocate ~seed:5)
       ~attack:Workload.Outlier_high ~key:"find_prefix.v" ~seed:22 ()
   in
@@ -160,13 +161,13 @@ let test_convergence_find_prefix_blocks () =
   (* bits = 64 > n^2 = 49: Pi_Z takes the long regime, which searches over
      blocks via FINDPREFIXBLOCKS. *)
   let _, honest_curve =
-    convergence_of ~protocol:Workload.pi_z.Workload.run
+    convergence_of ~protocol:Convex.Ca_int.run
       ~adversary:Adversary.passive ~attack:Workload.Honest_inputs
       ~key:"find_prefix_blocks.v" ~seed:23 ()
   in
   check_monotone "find_prefix_blocks/honest" honest_curve;
   let _, adv_curve =
-    convergence_of ~protocol:Workload.pi_z.Workload.run
+    convergence_of ~protocol:Convex.Ca_int.run
       ~adversary:(Adversary.equivocate ~seed:6)
       ~attack:Workload.Outlier_high ~key:"find_prefix_blocks.v" ~seed:24 ()
   in
